@@ -45,14 +45,6 @@ const Engine* EngineRegistry::FindByName(std::string_view name) const {
   return FindByNameUnlocked(engines_, name);
 }
 
-const Engine* EngineRegistry::FindByAlgorithm(Algorithm algorithm) const {
-  std::shared_lock lock(mu_);
-  for (const auto& engine : engines_) {
-    if (engine->algorithm() == algorithm) return engine.get();
-  }
-  return nullptr;
-}
-
 const Engine* EngineRegistry::SelectAuto(const CaseAnalysis& analysis) const {
   std::shared_lock lock(mu_);
   for (const auto& engine : engines_) {

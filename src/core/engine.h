@@ -16,8 +16,8 @@
 /// estimator) is an Engine registered in an EngineRegistry. Solver::Solve
 /// is pure dispatch: prepare the problem (case.h), pick an engine, run it in
 /// the requested numeric backend. Ablation benches and cross-checks select
-/// engines by name or by Algorithm instead of hard-coded branches, and new
-/// strategies plug in by registering — no solver changes.
+/// engines by name (SolveOptions::force_engine) instead of hard-coded
+/// branches, and new strategies plug in by registering — no solver changes.
 
 namespace phom {
 
@@ -87,7 +87,7 @@ class Engine {
 /// strategies must be registered before coarser ones.
 ///
 /// Thread safety: all members lock an internal shared_mutex — lookups
-/// (FindByName/FindByAlgorithm/SelectAuto/engines) take a shared lock and
+/// (FindByName/SelectAuto/engines) take a shared lock and
 /// may run concurrently from any number of serving threads; Register takes
 /// an exclusive lock. The intended invariant is REGISTER BEFORE SERVE:
 /// perform all registration at process startup (Global() populates the
@@ -107,10 +107,8 @@ class EngineRegistry {
 
   void Register(std::unique_ptr<Engine> engine);
 
-  /// nullptr when absent. FindByAlgorithm returns the first registered
-  /// engine realizing the algorithm.
+  /// nullptr when absent.
   const Engine* FindByName(std::string_view name) const;
-  const Engine* FindByAlgorithm(Algorithm algorithm) const;
 
   /// The engine auto dispatch runs for this analysis (never null once the
   /// default engines are registered: the fallback engine accepts anything).
@@ -126,8 +124,8 @@ class EngineRegistry {
 /// Engine selection exactly as SolvePrepared performs it: a forced engine
 /// name resolves first (Invalid on a typo, even when the prepared answer is
 /// immediate), then immediate answers return a null engine (no engine runs),
-/// then a forced algorithm resolves (Invalid when unregistered), then auto
-/// dispatch. Forced selections that do not apply to the analyzed cell are
+/// then UCQ inputs route to the lifted engine, then auto dispatch. Forced
+/// selections that do not apply to the analyzed cell are
 /// NotSupported. `*forced` reports whether the selection was forced (the
 /// caller then reports the engine's own algorithm as primary).
 Result<const Engine*> SelectEngineForProblem(const EngineRegistry& registry,

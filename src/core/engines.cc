@@ -97,11 +97,7 @@ Result<Num> SolveComponentT(const DiGraph& query, bool query_is_1wp,
       return p;
     }
     DwtStats s;
-    Result<Num> result =
-        options.dwt_via_lineage
-            ? SolvePathOnDwtForestViaLineageT<Num>(pattern, component,
-                                                   nullptr, &s)
-            : SolvePathOnDwtForestT<Num>(pattern, component, &s);
+    Result<Num> result = SolvePathOnDwtForestT<Num>(pattern, component, &s);
     if (result.ok()) stats->match_ends += s.match_ends;
     return result;
   }

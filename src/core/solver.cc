@@ -72,19 +72,7 @@ Result<const Engine*> SelectEngineForProblem(const EngineRegistry& registry,
     return lifted;
   }
 
-  if (!*forced) {
-    if (options.force_algorithm.has_value()) {
-      engine = registry.FindByAlgorithm(*options.force_algorithm);
-      if (engine == nullptr) {
-        return Status::Invalid(
-            std::string("no engine registered for algorithm ") +
-            ToString(*options.force_algorithm));
-      }
-      *forced = true;
-    } else {
-      engine = registry.SelectAuto(prepared.analysis);
-    }
-  }
+  if (!*forced) engine = registry.SelectAuto(prepared.analysis);
   PHOM_CHECK_MSG(engine != nullptr,
                  "engine registry has no engine for " + prepared.analysis.cell);
   if (*forced && !engine->Applies(prepared.analysis)) {

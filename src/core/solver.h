@@ -185,15 +185,10 @@ struct EscalateInfo {
 };
 
 struct SolveOptions {
-  /// Force a specific algorithm (ablations / cross-checks). NotSupported if
-  /// the algorithm's engine does not apply to the prepared problem.
-  std::optional<Algorithm> force_algorithm;
-  /// Force an engine by registry name (see engine.h); takes precedence over
-  /// force_algorithm. Invalid if no such engine is registered, NotSupported
-  /// if it does not apply to the prepared problem.
+  /// Force an engine by registry name (see engine.h) instead of auto
+  /// dispatch (ablations / cross-checks). Invalid if no such engine is
+  /// registered, NotSupported if it does not apply to the prepared problem.
   std::string force_engine;
-  /// Use the lineage+Shannon engine instead of the direct DP on DWTs.
-  bool dwt_via_lineage = false;
   /// Numeric backend for probability arithmetic (exact by default).
   NumericBackend numeric = NumericBackend::kExact;
   FallbackOptions fallback;

@@ -59,6 +59,11 @@ Result<ProbGraph> ParseProbGraph(std::string_view text, Alphabet* alphabet) {
   size_t n = 0;
   size_t m = 0;
   if (!(is >> n >> m)) return Status::Invalid("bad header");
+  if (n > kMaxParsedVertices) {
+    return Status::ResourceExhausted(
+        "header declares " + std::to_string(n) + " vertices; the limit is " +
+        std::to_string(kMaxParsedVertices));
+  }
   std::string rest_of_header;
   std::getline(is, rest_of_header);
   ProbGraph g(n);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 
@@ -16,8 +17,17 @@
 ///   line 1: "<num_vertices> <num_edges>"
 ///   then per edge: "<src> <dst> <label-name> [<prob>]"
 /// Probabilities accept "1/2" and "0.5" forms; omitted means certain.
+/// <num_vertices> may be at most kMaxParsedVertices; a larger header (or a
+/// negative one, which wraps around) is Status::ResourceExhausted before
+/// anything is allocated.
 
 namespace phom {
+
+/// Largest vertex count a parsed header may declare: 2^22 (4,194,304). The
+/// graph allocates its adjacency lists from the header alone, ~48 bytes per
+/// vertex (~200 MB at the limit), before any edge line is read. Well inside
+/// VertexId's 32-bit range.
+inline constexpr size_t kMaxParsedVertices = size_t{1} << 22;
 
 std::string Serialize(const DiGraph& g, const Alphabet& alphabet);
 std::string Serialize(const ProbGraph& g, const Alphabet& alphabet);

@@ -526,9 +526,6 @@ Result<SolveResult> SolveUcqUnit(const PreparedProblem& prepared,
   if (unit_options.force_engine == "lifted-ucq") {
     unit_options.force_engine.clear();
   }
-  if (unit_options.force_algorithm == Algorithm::kLiftedUcq) {
-    unit_options.force_algorithm.reset();
-  }
   return SolvePrepared(prepared.ucq->plan.units[unit_index].prepared,
                        unit_options);
 }

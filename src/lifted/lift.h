@@ -33,8 +33,8 @@
 /// not-liftable verdict and its hard leaves run the exponential fallback
 /// engines — that IS the documented fallback route, not a separate code
 /// path. Units are solved through SolvePrepared, so every unit honors
-/// forced engines (force_engine/force_algorithm pass through, with the
-/// "lifted-ucq" force itself stripped to avoid recursion), numeric
+/// a forced engine (force_engine passes through, with the "lifted-ucq"
+/// force itself stripped to avoid recursion), numeric
 /// backends, cancellation, and stats exactly like a single-CQ solve.
 ///
 /// SolveUcqUnit + CombineUcqUnitResults are the shared halves used by BOTH

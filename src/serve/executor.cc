@@ -783,16 +783,6 @@ SolveTicket BatchExecutor::Submit(EvalSession& session, SolveRequest request,
     // plan's units instead of instance components.
     state->prepared = state->ucq != nullptr ? session.PrepareUcq(*state->ucq)
                                             : session.Prepare(*state->query);
-    if (options_.select_tightest_enclosure && options_.cost_model != nullptr) {
-      // Tightest-enclosure routing, BEFORE dispatch planning so the forced
-      // engine shapes the component plan: a pure function of the snapshot
-      // (cost_model.h), empty when auto dispatch is already the tightest
-      // choice or the request is not a plain interval-backend solve.
-      std::string tightest =
-          SelectTightestEngine(*options_.cost_model->Snapshot(),
-                               state->prepared, state->options);
-      if (!tightest.empty()) state->options.force_engine = std::move(tightest);
-    }
     if (options_.split_components) {
       // One registry scan per query; every component task reuses the plan.
       state->dispatch = PlanComponentDispatch(state->prepared, state->options);

@@ -183,15 +183,6 @@ struct ExecutorOptions {
   /// change shifts every cell, and the decayed blend lets fresh
   /// observations re-win the EWMA quickly (see ImportSnapshotJson).
   double cost_model_warm_start_decay = 0.0;
-  /// With a cost model installed: route each plain interval-backend request
-  /// (no forced engine/algorithm, not a UCQ) through the registered exact
-  /// engine with the smallest PREDICTED enclosure width for its cell
-  /// (SelectTightestEngine, cost_model.h) by forcing that engine on the
-  /// request's options at submit. Off (the default) preserves auto dispatch
-  /// bit-identically; on, the choice is a pure function of the snapshot
-  /// taken at submit — deterministic, but dependent on what the model has
-  /// learned so far. Exact/double-backend requests are never rerouted.
-  bool select_tightest_enclosure = false;
   /// With a cost model installed: reject a deadline-carrying request at
   /// submit (kResourceExhausted, nothing prepared, the session untouched)
   /// when the predicted backlog exceeds the remaining slack of EVERY

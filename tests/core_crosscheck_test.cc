@@ -59,16 +59,16 @@ TEST_P(CrosscheckTest, SolverAgreesWithWorldEnumeration) {
     // Every forced polynomial-time engine that accepts this problem must
     // reproduce the oracle exactly; rejections are fine (the engine's
     // preconditions just do not hold for this case).
-    for (Algorithm algo :
-         {Algorithm::kConnectedOn2wp, Algorithm::kPathOnDwt,
-          Algorithm::kUnlabeledDwtInstance, Algorithm::kUnlabeledPolytree}) {
+    for (const char* engine :
+         {"connected-on-2wp", "path-on-dwt", "unlabeled-dwt-instance",
+          "unlabeled-polytree"}) {
       SolveOptions force;
-      force.force_algorithm = algo;
+      force.force_engine = engine;
       Result<Rational> forced = SolveProbability(c.query, c.instance, force);
       if (forced.ok()) {
         EXPECT_EQ(*forced, *oracle)
             << ToString(cell) << " trial " << trial << " forced engine "
-            << ToString(algo);
+            << engine;
       }
     }
 

@@ -31,13 +31,6 @@ TEST(EngineRegistry, DefaultEnginesAreRegistered) {
     EXPECT_NE(registry.FindByName(name), nullptr) << name;
   }
   EXPECT_EQ(registry.FindByName("no-such-engine"), nullptr);
-  // Algorithm lookup resolves to the first (primary) engine.
-  const Engine* fallback = registry.FindByAlgorithm(Algorithm::kFallback);
-  ASSERT_NE(fallback, nullptr);
-  EXPECT_EQ(fallback->name(), "fallback");
-  const Engine* dwt = registry.FindByAlgorithm(Algorithm::kPathOnDwt);
-  ASSERT_NE(dwt, nullptr);
-  EXPECT_EQ(dwt->name(), "path-on-dwt");
   // Estimators are never eligible for auto dispatch.
   const Engine* mc = registry.FindByName("monte-carlo");
   ASSERT_NE(mc, nullptr);

@@ -82,7 +82,7 @@ TEST(Lemma37, AgreesWithFallbackOnRandomForests) {
     ProbGraph h = AttachRandomProbabilities(&rng, shape, 2);
     DiGraph query = MakeOneWayPath(rng.UniformInt(1, 2));
     SolveOptions force;
-    force.force_algorithm = Algorithm::kFallback;
+    force.force_engine = "fallback";
     EXPECT_EQ(*SolveProbability(query, h),
               *SolveProbability(query, h, force))
         << trial;
@@ -157,13 +157,12 @@ TEST_P(EngineAgreementTest, UnlabeledPathOn1wpInstance) {
   DiGraph q = MakeOneWayPath(rng.UniformInt(1, 4));
 
   std::vector<Rational> answers;
-  for (Algorithm algo : {Algorithm::kUnlabeledDwtInstance,
-                         Algorithm::kUnlabeledPolytree,
-                         Algorithm::kFallback}) {
+  for (const char* engine :
+       {"unlabeled-dwt-instance", "unlabeled-polytree", "fallback"}) {
     SolveOptions options;
-    options.force_algorithm = algo;
+    options.force_engine = engine;
     Result<Rational> p = SolveProbability(q, h, options);
-    ASSERT_TRUE(p.ok()) << ToString(algo) << ": " << p.status().ToString();
+    ASSERT_TRUE(p.ok()) << engine << ": " << p.status().ToString();
     answers.push_back(*p);
   }
   // Dispatcher (will pick Prop. 4.11's route since the instance is a 2WP).
@@ -183,7 +182,7 @@ TEST_P(EngineAgreementTest, DwtLineageEngineAgrees) {
   }
   DiGraph q = MakeLabeledPath(pattern);
   SolveOptions lineage;
-  lineage.dwt_via_lineage = true;
+  lineage.force_engine = "dwt-lineage-shannon";
   EXPECT_EQ(*SolveProbability(q, h), *SolveProbability(q, h, lineage));
 }
 

@@ -32,7 +32,7 @@ TEST_P(SolverPropertyTest, DispatcherMatchesBruteForceOracle) {
         Result<SolveResult> fast = solver.Solve(q, h);
         ASSERT_TRUE(fast.ok()) << fast.status().ToString();
         SolveOptions force;
-        force.force_algorithm = Algorithm::kFallback;
+        force.force_engine = "fallback";
         Rational oracle = *SolveProbability(q, h, force);
         EXPECT_EQ(fast->probability, oracle)
             << "query kind " << static_cast<int>(qk) << " instance kind "

@@ -23,7 +23,7 @@ TEST(Solver, PaperRunningExample) {
 TEST(Solver, PaperExampleMatchesBruteForce) {
   PaperFigure1 ex;
   SolveOptions force;
-  force.force_algorithm = Algorithm::kFallback;
+  force.force_engine = "fallback";
   EXPECT_EQ(*SolveProbability(ex.query, ex.instance, force), ex.expected);
 }
 
@@ -117,13 +117,13 @@ TEST(Solver, ForcedAlgorithmsAgree) {
     DiGraph q = MakeOneWayPath(rng.UniformInt(1, 3));
     Rational dispatched = *SolveProbability(q, h);
     SolveOptions via_fallback;
-    via_fallback.force_algorithm = Algorithm::kFallback;
+    via_fallback.force_engine = "fallback";
     SolveOptions via_automaton;
-    via_automaton.force_algorithm = Algorithm::kUnlabeledPolytree;
+    via_automaton.force_engine = "unlabeled-polytree";
     SolveOptions via_grading;
-    via_grading.force_algorithm = Algorithm::kUnlabeledDwtInstance;
+    via_grading.force_engine = "unlabeled-dwt-instance";
     SolveOptions via_lineage;
-    via_lineage.dwt_via_lineage = true;
+    via_lineage.force_engine = "dwt-lineage-shannon";
     EXPECT_EQ(dispatched, *SolveProbability(q, h, via_fallback)) << trial;
     EXPECT_EQ(dispatched, *SolveProbability(q, h, via_automaton)) << trial;
     EXPECT_EQ(dispatched, *SolveProbability(q, h, via_grading)) << trial;
@@ -138,12 +138,11 @@ TEST(Solver, ForcedUnlabeledAlgorithmsRejectLabeledProblems) {
   ProbGraph h(3);
   AddEdgeOrDie(&h, 0, 1, 0, Rational::Half());
   AddEdgeOrDie(&h, 1, 2, 1, Rational::Half());
-  for (Algorithm algo : {Algorithm::kUnlabeledPolytree,
-                         Algorithm::kUnlabeledDwtInstance}) {
+  for (const char* engine : {"unlabeled-polytree", "unlabeled-dwt-instance"}) {
     SolveOptions options;
-    options.force_algorithm = algo;
+    options.force_engine = engine;
     Result<Rational> r = SolveProbability(q, h, options);
-    ASSERT_FALSE(r.ok()) << ToString(algo);
+    ASSERT_FALSE(r.ok()) << engine;
     EXPECT_EQ(r.status().code(), Status::Code::kNotSupported);
   }
 }

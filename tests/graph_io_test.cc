@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "src/graph/builders.h"
 
 namespace phom {
@@ -50,6 +53,21 @@ TEST(Io, ParseErrors) {
   EXPECT_FALSE(ParseProbGraph("2 1\n0 1 R 2.5\n", &alphabet).ok());  // prob
   EXPECT_FALSE(
       ParseProbGraph("2 2\n0 1 R\n0 1 S\n", &alphabet).ok());  // multi-edge
+}
+
+TEST(Io, OversizedVertexCountIsResourceExhausted) {
+  // Rejected from the header alone: none of these allocates a graph.
+  Alphabet alphabet;
+  for (const std::string& header :
+       {std::string("99999999999 0\n"), std::string("-1 0\n"),
+        std::to_string(kMaxParsedVertices + 1) + " 0\n"}) {
+    Result<ProbGraph> parsed = ParseProbGraph(header, &alphabet);
+    ASSERT_FALSE(parsed.ok()) << header;
+    EXPECT_EQ(parsed.status().code(), Status::Code::kResourceExhausted)
+        << header << parsed.status().ToString();
+  }
+  static_assert(kMaxParsedVertices <=
+                std::numeric_limits<VertexId>::max());
 }
 
 TEST(Io, DotContainsEdgesAndProbabilities) {

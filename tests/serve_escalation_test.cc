@@ -42,8 +42,6 @@
 ///    the number of certified interval completions (escalated results are
 ///    counted once, at their pre-escalation width; uncertified degraded
 ///    estimates are never counted);
-///  * the tightest-enclosure routing opt-in (SelectTightestEngine) — sound
-///    enclosures and untouched exact-backend requests;
 ///  * the CertifiedHalfWidth95(·, 0) division-by-zero regression.
 
 namespace phom {
@@ -415,69 +413,6 @@ TEST(Escalation, DegradedEstimatesNeverEnterTheHistogram) {
   EXPECT_TRUE(std::isfinite(r->bound.lo));
   EXPECT_TRUE(std::isfinite(r->bound.hi));
   EXPECT_EQ(HistogramTotal(executor.stats()), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Tightest-enclosure routing (SelectTightestEngine).
-// ---------------------------------------------------------------------------
-
-TEST(Escalation, SelectTightestEngineLeavesNonIntervalRequestsAlone) {
-  PaperFigure1 fig;
-  EvalSession session(fig.instance);
-  PreparedProblem prepared = session.Prepare(fig.query);
-  CostModel model;
-  const auto snapshot = model.Snapshot();
-
-  SolveOptions exact_options;  // default backend: exact
-  EXPECT_EQ(serve::SelectTightestEngine(*snapshot, prepared, exact_options),
-            "");
-  SolveOptions forced;
-  forced.numeric = NumericBackend::kIntervalDouble;
-  forced.force_engine = "lineage";
-  EXPECT_EQ(serve::SelectTightestEngine(*snapshot, prepared, forced), "")
-      << "a forced engine is the caller's ablation contract";
-  // A cold model ties every candidate at the shared prior, so auto dispatch
-  // is kept (strict-improvement rule).
-  SolveOptions interval;
-  interval.numeric = NumericBackend::kIntervalDouble;
-  EXPECT_EQ(serve::SelectTightestEngine(*snapshot, prepared, interval), "");
-}
-
-TEST(Escalation, TightestEnclosureRoutingStaysSound) {
-  Rng rng(kSeed + 3);
-  ProbGraph instance = MixedServeInstance(&rng);
-  std::vector<DiGraph> queries = MixedServeQueries(&rng);
-
-  // Exact oracle per query, from a plain serial session.
-  EvalSession oracle_session(instance);
-  std::vector<Result<SolveResult>> oracle;
-  for (const DiGraph& q : queries) oracle.push_back(oracle_session.Solve(q));
-
-  EvalSession session(instance);
-  ExecutorOptions options;
-  options.threads = 2;
-  options.cost_model = std::make_shared<CostModel>();
-  options.select_tightest_enclosure = true;
-  BatchExecutor executor(options);
-  std::vector<SolveTicket> tickets;
-  for (const DiGraph& q : queries) {
-    tickets.push_back(executor.Submit(
-        session,
-        SolveRequest(q).WithNumeric(NumericBackend::kIntervalDouble)));
-  }
-  std::vector<Result<SolveResult>> results = executor.CollectHelping(tickets);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    SCOPED_TRACE("query=" + std::to_string(i));
-    ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
-    ASSERT_TRUE(oracle[i].ok());
-    const SolveResult& r = *results[i];
-    ASSERT_TRUE(r.bound.certified);
-    // Whatever engine the router picked, the enclosure must contain the
-    // exact answer (Rational::FromDouble is lossless, so the comparison
-    // is exact).
-    EXPECT_LE(Rational::FromDouble(r.bound.lo), oracle[i]->probability);
-    EXPECT_GE(Rational::FromDouble(r.bound.hi), oracle[i]->probability);
-  }
 }
 
 // ---------------------------------------------------------------------------
