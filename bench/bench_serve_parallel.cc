@@ -2,9 +2,8 @@
 // multi-session server (src/serve/) against the serial EvalSession baseline.
 // Results are bit-identical by construction (tests/serve_executor_test.cc),
 // so this bench measures only the throughput axis: batch fan-out, component
-// fan-out, and the cross-instance context LRU. NOTE: the dev container is
-// single-core — locally these quantify overhead, not speedup; the thread
-// scaling is meaningful on multi-core CI/production hardware.
+// fan-out, and the cross-instance context LRU. Thread counts above the
+// machine's core count measure oversubscription overhead, not speedup.
 
 #include <benchmark/benchmark.h>
 
@@ -17,7 +16,6 @@
 #include "src/core/eval_session.h"
 #include "src/serve/executor.h"
 #include "src/serve/mpmc_queue.h"
-#include "src/serve/relaxed_queue.h"
 #include "src/serve/shard.h"
 #include "src/serve/work_steal_deque.h"
 
@@ -114,12 +112,11 @@ BENCHMARK(BM_ServeExecutorNoComponentSplit)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Scheduling-core contenders. Two layers: raw per-op costs of the three
-// task stores (global Vyukov MPMC, Chase–Lev deque, relaxed block queue),
-// then the executor measured end to end under each dispatch shape — the
-// pre-rebuild single global FIFO vs per-worker deques + stealing vs the
-// relaxed multi-block injection queue — on a dispatch-heavy corpus (many
-// small componentwise queries) where per-dispatch overhead dominates.
+// Scheduling core. Two layers: raw per-op costs of the two task stores
+// (the Vyukov MPMC injection queue and the Chase–Lev deque), then the
+// executor's one dispatch shape measured end to end on a dispatch-heavy
+// corpus (many small componentwise queries) where per-dispatch overhead
+// dominates.
 // ---------------------------------------------------------------------------
 
 void BM_QueueOpGlobalMpmc(benchmark::State& state) {
@@ -164,49 +161,12 @@ void BM_QueueOpDequeSteal(benchmark::State& state) {
 }
 BENCHMARK(BM_QueueOpDequeSteal);
 
-void BM_QueueOpRelaxedBlocks(benchmark::State& state) {
-  serve::RelaxedBlockQueue<uint64_t> queue(1024,
-                                           static_cast<size_t>(state.range(0)));
-  uint64_t v = 0;
-  uint64_t out = 0;
-  for (auto _ : state) {
-    for (int i = 0; i < 64; ++i) queue.TryPush(v++);
-    for (int i = 0; i < 64; ++i) queue.TryPop(&out);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() * 64);
-}
-BENCHMARK(BM_QueueOpRelaxedBlocks)->Arg(1)->Arg(8)->ArgName("blocks");
-
-/// Executor dispatch shapes for the contender run.
-///   0 = the pre-rebuild core: one global strict-FIFO queue, no stealing
-///   1 = per-worker deques + randomized stealing (strict-FIFO injection)
-///   2 = relaxed multi-block injection only, no stealing
-void BM_ServeDispatchContender(benchmark::State& state) {
-  const size_t threads = static_cast<size_t>(state.range(0));
-  const int64_t shape = state.range(1);
+void BM_ServeDispatch(benchmark::State& state) {
   // Dispatch-heavy: 4 instance components per query and a wide batch of
   // small queries, so scheduling overhead is a visible fraction.
   Corpus corpus = MakeCorpus(4, 8, 32);
   ExecutorOptions exec_options;
-  exec_options.threads = threads;
-  switch (shape) {
-    case 0:
-      exec_options.enable_stealing = false;
-      exec_options.injection_blocks = 1;
-      state.SetLabel("global-mpmc");
-      break;
-    case 1:
-      exec_options.enable_stealing = true;
-      exec_options.injection_blocks = 1;
-      state.SetLabel("deques+stealing");
-      break;
-    default:
-      exec_options.enable_stealing = false;
-      exec_options.injection_blocks = 8;
-      state.SetLabel("relaxed-injection");
-      break;
-  }
+  exec_options.threads = static_cast<size_t>(state.range(0));
   BatchExecutor executor(exec_options);
   EvalSession session(corpus.instance, ServingOptions());
   executor.SolveBatch(session, corpus.queries);  // warm-up
@@ -216,9 +176,9 @@ void BM_ServeDispatchContender(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(corpus.queries.size()));
 }
-BENCHMARK(BM_ServeDispatchContender)
-    ->ArgNames({"threads", "shape"})
-    ->ArgsProduct({{1, 2, 8}, {0, 1, 2}})
+BENCHMARK(BM_ServeDispatch)
+    ->ArgName("threads")
+    ->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------

@@ -28,15 +28,6 @@ size_t ResolveThreads(const ExecutorOptions& options) {
   return n;
 }
 
-size_t ResolveInjectionBlocks(const ExecutorOptions& options) {
-  if (options.injection_blocks != 0) return options.injection_blocks;
-  // Auto: one block per worker up to 8 — enough cursor spread to take the
-  // queue off the contention path, few enough that the all-blocks probe on
-  // pop stays cheap. RelaxedBlockQueue clamps further so no block drops
-  // below 2 cells (a capacity-2 queue is always one strict-FIFO block).
-  return std::min<size_t>(ResolveThreads(options), 8);
-}
-
 }  // namespace
 
 size_t IntervalWidthBucket(double width) {
@@ -57,9 +48,7 @@ size_t IntervalWidthBucket(double width) {
 }
 
 BatchExecutor::BatchExecutor(ExecutorOptions options)
-    : options_(std::move(options)),
-      injection_(options_.queue_capacity == 0 ? 2 : options_.queue_capacity,
-                 ResolveInjectionBlocks(options_)) {
+    : options_(std::move(options)), injection_(options_.queue_capacity) {
   if (options_.cost_model != nullptr &&
       !options_.cost_model_warm_start_json.empty()) {
     // Warm start BEFORE any worker exists: the first Submit's snapshot
@@ -74,16 +63,10 @@ BatchExecutor::BatchExecutor(ExecutorOptions options)
                        imported.status().message());
   }
   const size_t n = ResolveThreads(options_);
-  // Per-worker EDF heap bound: the historical GLOBAL bound (the queue
-  // capacity) split across workers, so total queued deadline work keeps the
-  // same memory bound — and with one worker the heap is exactly the old
-  // global heap (same capacity, same displace threshold).
-  const size_t heap_capacity =
-      std::max<size_t>(1, injection_.capacity() / n);
   worker_state_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     worker_state_.push_back(std::make_unique<Worker>(
-        options_.steal_deque_capacity, heap_capacity,
+        options_.steal_deque_capacity,
         options_.steal_seed ^ static_cast<uint64_t>(i)));
   }
   workers_.reserve(n);
@@ -97,8 +80,8 @@ BatchExecutor::~BatchExecutor() {
   // flight is UB"): run queued tasks on this thread and wait out workers'
   // in-flight ones, so every outstanding ticket completes — and no task can
   // touch the dying pool — before the workers are stopped. The shared pop
-  // sweeps every worker's heap and deque, so a parked worker cannot strand
-  // its queued tasks.
+  // sweeps every worker's deque, so a parked worker cannot strand its
+  // queued tasks.
   Task task;
   while (!AllRequestsFinished()) {
     if (TryPopTaskShared(&task)) {
@@ -137,48 +120,31 @@ void BatchExecutor::NotifyAll() {
 
 void BatchExecutor::EnqueueTask(Task task) {
   if (task.request->has_effective_deadline) {
-    // Slack-ordered lane: route to the least-loaded worker's EDF heap
-    // (ties break to the lowest index, so one worker degenerates to the
-    // historical single global heap).
-    size_t best = 0;
-    size_t best_load = static_cast<size_t>(-1);
-    for (size_t i = 0; i < worker_state_.size(); ++i) {
-      const Worker& w = *worker_state_[i];
-      const size_t load =
-          w.edf_size.load(std::memory_order_relaxed) + w.deque.SizeApprox();
-      if (load < best_load) {
-        best_load = load;
-        best = i;
-      }
-    }
-    Worker& w = *worker_state_[best];
+    // Slack-ordered lane: the executor-wide EDF heap.
     std::optional<Task> displaced;
     {
-      std::lock_guard<std::mutex> lock(w.edf_mu);
-      w.edf_heap.push(DeadlineEntry{task.request->effective_deadline,
-                                    w.edf_seq++, std::move(task)});
-      if (w.edf_heap.size() > w.heap_capacity) {
+      std::lock_guard<std::mutex> lock(edf_mu_);
+      edf_heap_.push(DeadlineEntry{task.request->effective_deadline,
+                                   edf_seq_++, std::move(task)});
+      if (edf_heap_.size() > injection_.capacity()) {
         // Overflow: displace and run the EARLIEST entry inline — which may
         // or may not be the incoming task. (Running the INCOMING task
         // inline, as the pre-rebuild code did, silently bypassed slack
         // ordering whenever the newcomer's deadline was not the earliest.)
         displaced =
-            std::move(const_cast<DeadlineEntry&>(w.edf_heap.top()).task);
-        w.edf_heap.pop();
+            std::move(const_cast<DeadlineEntry&>(edf_heap_.top()).task);
+        edf_heap_.pop();
       }
-      w.edf_size.store(w.edf_heap.size(), std::memory_order_relaxed);
+      edf_size_.store(edf_heap_.size(), std::memory_order_relaxed);
     }
-    // notify_all, not notify_one: with stealing off only the owning worker
-    // (or a helper) can pop this heap, and a notify_one may land on a
-    // different worker that finds nothing and sleeps again.
-    NotifyAll();
+    NotifyOne();
     if (displaced.has_value()) {
       edf_displaced_.fetch_add(1, std::memory_order_relaxed);
       RunTask(*displaced);
     }
     return;
   }
-  if (injection_.TryPush(task)) {
+  if (injection_.TryPushMove(task)) {
     NotifyOne();
     return;
   }
@@ -188,18 +154,17 @@ void BatchExecutor::EnqueueTask(Task task) {
   RunTask(task);
 }
 
-bool BatchExecutor::PopEdf(Worker& w, Task* out) {
-  // Lock-free emptiness probe first: the steal sweep touches every victim's
-  // heap, and an uncontended-mutex round trip per victim would put the lock
-  // back on the idle path the deques just took it off of.
-  if (w.edf_size.load(std::memory_order_relaxed) == 0) return false;
-  std::lock_guard<std::mutex> lock(w.edf_mu);
-  if (w.edf_heap.empty()) return false;
+bool BatchExecutor::PopEdf(Task* out) {
+  // Lock-free emptiness probe first: every pop checks the heap, and
+  // deadline-free traffic must not pay a mutex round trip for it.
+  if (edf_size_.load(std::memory_order_relaxed) == 0) return false;
+  std::lock_guard<std::mutex> lock(edf_mu_);
+  if (edf_heap_.empty()) return false;
   // priority_queue::top is const; moving the task out is safe because the
   // entry is popped before the lock is released.
-  *out = std::move(const_cast<DeadlineEntry&>(w.edf_heap.top()).task);
-  w.edf_heap.pop();
-  w.edf_size.store(w.edf_heap.size(), std::memory_order_relaxed);
+  *out = std::move(const_cast<DeadlineEntry&>(edf_heap_.top()).task);
+  edf_heap_.pop();
+  edf_size_.store(edf_heap_.size(), std::memory_order_relaxed);
   return true;
 }
 
@@ -213,13 +178,13 @@ bool BatchExecutor::TryPopTaskWorker(size_t self, Task* out) {
     *out = std::move(*node);
     return true;
   }
-  if (PopEdf(me, out)) return true;
+  if (PopEdf(out)) return true;
   if (injection_.TryPop(out)) return true;
   const size_t n = worker_state_.size();
-  if (!options_.enable_stealing || n <= 1) return false;
-  // Steal from a randomized victim: deque top (the victim's OLDEST task)
-  // first, then the victim's EDF heap. The random start decorrelates
-  // thieves; the full rotation guarantees any available task is found.
+  if (n <= 1) return false;
+  // Steal a randomized victim's deque top (its OLDEST task). The random
+  // start decorrelates thieves; the full rotation guarantees any available
+  // task is found.
   const size_t start = static_cast<size_t>(me.rng());
   for (size_t k = 0; k < n; ++k) {
     const size_t v = (start + k) % n;
@@ -228,10 +193,6 @@ bool BatchExecutor::TryPopTaskWorker(size_t self, Task* out) {
     if (victim.deque.TrySteal(&node)) {
       tasks_stolen_.fetch_add(1, std::memory_order_relaxed);
       *out = std::move(*node);
-      return true;
-    }
-    if (PopEdf(victim, out)) {
-      tasks_stolen_.fetch_add(1, std::memory_order_relaxed);
       return true;
     }
   }
@@ -243,13 +204,11 @@ bool BatchExecutor::TryPopTaskShared(Task* out) {
   // historical helper order: heap, then FIFO), then the shared queue, then
   // a sweep of the worker deques so a parked worker cannot strand tasks.
   // The rotating start spreads concurrent helpers across workers.
+  if (PopEdf(out)) return true;
+  if (injection_.TryPop(out)) return true;
   const size_t n = worker_state_.size();
   const size_t start = static_cast<size_t>(
       shared_sweep_.fetch_add(1, std::memory_order_relaxed));
-  for (size_t k = 0; k < n; ++k) {
-    if (PopEdf(*worker_state_[(start + k) % n], out)) return true;
-  }
-  if (injection_.TryPop(out)) return true;
   std::unique_ptr<Task> node;
   for (size_t k = 0; k < n; ++k) {
     if (worker_state_[(start + k) % n]->deque.TrySteal(&node)) {
@@ -464,7 +423,7 @@ MonotonicArena* BatchExecutor::TaskArena(size_t self) {
 void BatchExecutor::FanOut(const Task& root, size_t self) {
   internal::RequestState& req = *root.request;
   const size_t n = req.dispatch.components;
-  if (self != kNoWorker && options_.enable_stealing) {
+  if (self != kNoWorker) {
     Worker& me = *worker_state_[self];
     bool queued = false;
     // Push components n-1 .. 1: the owner's LIFO pop then runs them in
@@ -479,7 +438,7 @@ void BatchExecutor::FanOut(const Task& root, size_t self) {
         continue;
       }
       Task overflow = std::move(*node);
-      if (injection_.TryPush(overflow)) {
+      if (injection_.TryPushMove(overflow)) {
         queued = true;
         continue;
       }
@@ -493,11 +452,11 @@ void BatchExecutor::FanOut(const Task& root, size_t self) {
     if (options_.test_after_fanout) options_.test_after_fanout(self);
     return;
   }
-  // Helper thread, or stealing disabled: the shared injection lane in index
-  // order (the historical dispatch shape).
+  // Helper thread (it owns no deque): the shared injection lane in index
+  // order.
   for (size_t c = 0; c < n; ++c) {
     Task task{root.request, static_cast<int32_t>(c)};
-    if (injection_.TryPush(task)) {
+    if (injection_.TryPushMove(task)) {
       NotifyOne();
       continue;
     }

@@ -17,7 +17,7 @@
 #include "src/core/eval_session.h"
 #include "src/serve/async.h"
 #include "src/serve/cost_model.h"
-#include "src/serve/relaxed_queue.h"
+#include "src/serve/mpmc_queue.h"
 #include "src/serve/request.h"
 #include "src/serve/work_steal_deque.h"
 #include "src/util/arena.h"
@@ -27,8 +27,8 @@
 /// and, within a request, the independent instance components of a
 /// componentwise dispatch (solver.h) — out over worker threads.
 ///
-/// SCHEDULING CORE (this is the work-stealing rebuild of the original
-/// single-global-queue dispatch; see README "Scheduling internals"):
+/// SCHEDULING CORE (see README "Scheduling internals"): one dispatch shape,
+/// two lock-free primitives and one EDF heap.
 ///   * Every worker owns a bounded Chase–Lev deque (work_steal_deque.h).
 ///     When a worker dequeues a componentwise request it fans components
 ///     1..n-1 out to its OWN deque, runs component 0 directly (one push/pop
@@ -37,23 +37,19 @@
 ///     the execution order is exactly the historical 0,1,…,n-1. Idle
 ///     workers steal the OLDEST task from a randomized victim, so fan-out
 ///     parallelism costs no shared-queue contention.
-///   * Deadline-less requests enter through a relaxed block-based injection
-///     queue (relaxed_queue.h): FIFO within a block, relaxed across blocks.
-///     With injection_blocks = 1 (or one worker thread, the auto default)
-///     dispatch of deadline-less requests is exactly the historical global
-///     FIFO.
-///   * Deadline-carrying requests route to the LEAST-LOADED worker's
-///     bounded EDF heap (earliest effective deadline = deadline − predicted
-///     cost, PR 6 semantics). With one worker every deadline task shares one
-///     heap, i.e. exact global EDF; with several workers EDF is per-worker
-///     and stealing keeps it work-conserving.
+///   * Deadline-less requests enter through one strict-FIFO injection queue
+///     (mpmc_queue.h). Helper threads, which own no deque, fan out through
+///     it too, and a full worker deque overflows into it.
+///   * Deadline-carrying requests go to one executor-wide bounded EDF heap
+///     (earliest effective deadline = deadline − predicted cost; equal
+///     deadlines leave in arrival order), so deadline roots leave in exact
+///     global EDF order at every thread count.
 ///   * Worker pop order: own deque (finish the request you started — this
 ///     keeps a fanned-out request's completion ahead of later-arriving
-///     deadline roots), own EDF heap, injection queue, then steal (victim
-///     deque top first, then victim EDF heap). Non-worker helpers (the
-///     collect-helping path and the draining destructor) pop injection
-///     first, then sweep every worker's heap and deque, so progress never
-///     depends on a parked worker.
+///     deadline roots), EDF heap, injection queue, then steal a victim's
+///     deque top. Non-worker helpers (the collect-helping path and the
+///     draining destructor) pop the EDF heap, then injection, then sweep
+///     every worker's deque, so progress never depends on a parked worker.
 ///   * EDF heap overflow runs the EARLIEST entry inline on the submitter
 ///     after inserting the incoming task (the pre-rebuild code ran the
 ///     INCOMING task inline, silently bypassing slack ordering — that bug is
@@ -100,9 +96,9 @@
 ///     preparation) when the predicted backlog exceeds the remaining slack
 ///     of every pending deadline, its own included;
 ///   * deadline-carrying tasks dispatch earliest-effective-deadline-first
-///     through the per-worker EDF heaps described above; with no deadlines
-///     set the heaps stay empty and dispatch is the deque/injection path
-///     (bit-identical results at every thread count).
+///     through the EDF heap described above; with no deadlines set the heap
+///     stays empty and dispatch is the deque/injection path (bit-identical
+///     results at every thread count).
 /// Every completed exact solve is recorded back into the model, so
 /// predictions sharpen as the pool serves.
 ///
@@ -117,8 +113,8 @@
 /// drain the pool — which is why `threads = 1` makes progress even when
 /// the lone worker is busy with another batch.
 ///
-/// Determinism guarantee: for every thread count, with stealing on or off,
-/// every request that COMPLETES (is neither expired nor cancelled) answers
+/// Determinism guarantee: for every thread count and steal schedule, every
+/// request that COMPLETES (is neither expired nor cancelled) answers
 /// BIT-IDENTICALLY to session.Solve run serially — probabilities (both
 /// backends), stats, analyses and error statuses. This holds because
 ///   * every result is written to its own ticket (no completion-order
@@ -132,16 +128,16 @@
 ///     per-request seed inside each task (EstimateProbabilityMonteCarlo is
 ///     a pure function of (query, instance, seed)), so no thread shares
 ///     generator state with another.
-/// Scheduling (steal order, block choice) affects only WHEN tasks run,
+/// Scheduling (steal order, victim choice) affects only WHEN tasks run,
 /// which is observable in completion ORDER alone — and deadline-less
 /// completion order was never part of the contract.
 ///
 /// The pool is shared infrastructure: several threads may Submit / solve
 /// concurrently. Destroying the executor DRAINS it: the destructor runs
-/// queued tasks itself (sweeping every worker's deque and heap) and waits
-/// for workers' in-flight tasks, so every outstanding ticket completes
-/// before the pool is torn down. Sessions named by outstanding requests
-/// must outlive the destructor call, and no thread may Submit once
+/// queued tasks itself (the EDF heap, injection and every worker's deque)
+/// and waits for workers' in-flight tasks, so every outstanding ticket
+/// completes before the pool is torn down. Sessions named by outstanding
+/// requests must outlive the destructor call, and no thread may Submit once
 /// destruction has begun — join your submitting threads first.
 
 namespace phom::serve {
@@ -149,13 +145,12 @@ namespace phom::serve {
 struct ExecutorOptions {
   /// Worker threads. 0 = std::thread::hardware_concurrency() (at least 1).
   size_t threads = 0;
-  /// Injection-queue capacity (rounded up to a power of two, split across
-  /// its blocks). When the queue is full, the submitter runs the task
-  /// inline instead of blocking — the queue bounds memory, not correctness
-  /// (Submit may therefore block on a saturated pool: natural
-  /// backpressure). Also sizes the per-worker EDF heaps: each holds up to
-  /// queue_capacity / threads entries before the displace-inline overflow
-  /// policy fires.
+  /// Injection-queue capacity (rounded up to a power of two). When the
+  /// queue is full, the submitter runs the task inline instead of blocking —
+  /// the queue bounds memory, not correctness (Submit may therefore block on
+  /// a saturated pool: natural backpressure). Also sizes the EDF heap: it
+  /// holds up to the same rounded capacity before the displace-inline
+  /// overflow policy fires.
   size_t queue_capacity = 1024;
   /// Fan the independent instance components of a componentwise dispatch
   /// out as separate tasks (within-query parallelism). Off = one task per
@@ -192,22 +187,9 @@ struct ExecutorOptions {
   /// shed (an estimate beats an error); deadline-less requests are never
   /// shed.
   bool enable_shedding = false;
-  /// Work stealing (default ON): workers fan component tasks out to their
-  /// own deque and steal from randomized victims when idle. OFF routes
-  /// fan-out through the shared injection queue instead (the pre-rebuild
-  /// dispatch shape) — results are bit-identical either way; the knob
-  /// exists for the contender benchmarks and for pinning down scheduling
-  /// regressions.
-  bool enable_stealing = true;
   /// Per-worker deque capacity (rounded up to a power of two, minimum 2).
   /// A full deque overflows into the injection queue, then inline.
   size_t steal_deque_capacity = 256;
-  /// Number of injection-queue blocks. 0 = auto: min(threads, 8), clamped
-  /// so no block drops below 2 cells (a capacity-2 queue is therefore
-  /// always ONE block — the strict-FIFO configuration — and tiny-queue
-  /// inline-run behavior is unchanged). 1 = strict global FIFO. Larger
-  /// values relax cross-block ordering for throughput (relaxed_queue.h).
-  size_t injection_blocks = 0;
   /// Seed for the per-worker victim-selection RNGs (worker i is seeded with
   /// steal_seed ^ i). The steal-interleaving fuzz suite varies this to
   /// drive victim order through many schedules; results never depend on it.
@@ -230,8 +212,8 @@ struct ExecutorStats {
   uint64_t degraded_proactive = 0;   ///< exact attempt skipped at admission
   uint64_t degraded_reactive = 0;    ///< converted after a real deadline miss
   uint64_t shed = 0;                 ///< rejected kResourceExhausted at submit
-  uint64_t tasks_stolen = 0;         ///< tasks taken from another worker's
-                                     ///< deque or EDF heap
+  uint64_t tasks_stolen = 0;         ///< tasks a worker took from another
+                                     ///< worker's deque
   uint64_t inline_runs = 0;          ///< tasks run on a non-worker thread
                                      ///< because a queue/deque was full
   uint64_t edf_displaced_runs = 0;   ///< EDF overflow: earliest entry run
@@ -366,7 +348,7 @@ class BatchExecutor {
     int32_t component = -1;
   };
 
-  /// One entry of a worker's EDF heap: min-heap on (effective deadline,
+  /// One entry of the EDF heap: min-heap on (effective deadline,
   /// arrival sequence) — the tiebreak keeps equal-deadline tasks FIFO.
   struct DeadlineEntry {
     RequestClock::time_point effective;
@@ -381,20 +363,11 @@ class BatchExecutor {
   };
 
   /// Per-worker scheduling state. Heap-pinned (unique_ptr in the vector):
-  /// the deque and mutex must not move while threads hold references.
+  /// the deque must not move while threads hold references.
   struct Worker {
-    Worker(size_t deque_capacity, size_t heap_capacity, uint64_t seed)
-        : deque(deque_capacity), heap_capacity(heap_capacity), rng(seed) {}
+    Worker(size_t deque_capacity, uint64_t seed)
+        : deque(deque_capacity), rng(seed) {}
     WorkStealDeque<Task> deque;
-    const size_t heap_capacity;
-    std::mutex edf_mu;
-    std::priority_queue<DeadlineEntry, std::vector<DeadlineEntry>,
-                        LaterDeadline>
-        edf_heap;          ///< guarded by edf_mu
-    uint64_t edf_seq = 0;  ///< guarded by edf_mu
-    /// Lock-free mirrors of the heap size / a load probe for least-loaded
-    /// routing and cheap emptiness checks (never used for correctness).
-    std::atomic<size_t> edf_size{0};
     /// Victim-selection RNG; touched ONLY by the owning worker thread.
     std::mt19937_64 rng;
     /// Per-task scratch (SolveOptions::scratch), reset between tasks;
@@ -406,12 +379,12 @@ class BatchExecutor {
   static constexpr size_t kNoWorker = static_cast<size_t>(-1);
 
   void EnqueueTask(Task task);
-  /// Worker pop: own deque → own EDF heap → injection → steal.
+  /// Worker pop: own deque → EDF heap → injection → steal.
   bool TryPopTaskWorker(size_t self, Task* out);
-  /// Helper pop (collect-helping, destructor): injection → every worker's
-  /// heap and deque.
+  /// Helper pop (collect-helping, destructor): EDF heap → injection →
+  /// every worker's deque.
   bool TryPopTaskShared(Task* out);
-  bool PopEdf(Worker& w, Task* out);
+  bool PopEdf(Task* out);
   void RunTask(const Task& task, size_t self = kNoWorker);
   /// Spawns the component tasks of a fan-out root at the dequeuing thread:
   /// workers push to their own deque (overflow → injection → inline),
@@ -454,10 +427,19 @@ class BatchExecutor {
                                 RequestClock::time_point now);
 
   ExecutorOptions options_;
-  /// Deadline-less lane: relaxed block-based MPMC (relaxed_queue.h). Also
-  /// the overflow target for full worker deques and the fan-out lane when
-  /// stealing is disabled.
-  RelaxedBlockQueue<Task> injection_;
+  /// Deadline-less lane: strict-FIFO MPMC (mpmc_queue.h). Also the
+  /// overflow target for full worker deques and the fan-out lane of helper
+  /// threads.
+  MpmcQueue<Task> injection_;
+  /// Deadline lane: one EDF heap, bounded by injection_.capacity().
+  std::mutex edf_mu_;
+  std::priority_queue<DeadlineEntry, std::vector<DeadlineEntry>,
+                      LaterDeadline>
+      edf_heap_;          ///< guarded by edf_mu_
+  uint64_t edf_seq_ = 0;  ///< guarded by edf_mu_
+  /// Lock-free mirror of the heap size: deadline-free traffic pays one
+  /// relaxed load for the heap (never used for correctness).
+  std::atomic<size_t> edf_size_{0};
   std::mutex work_mu_;
   std::condition_variable work_cv_;
   bool stop_ = false;  ///< guarded by work_mu_
@@ -488,7 +470,7 @@ class BatchExecutor {
   /// bumped exactly once per successful CERTIFIED interval result — in
   /// Finish for published results, in MaybeEscalate for escalated ones.
   std::array<std::atomic<uint64_t>, 67> interval_width_hist_{};
-  /// Rotation cursor for the shared (non-worker) sweep over worker state.
+  /// Rotation cursor for the shared (non-worker) sweep over worker deques.
   std::atomic<uint64_t> shared_sweep_{0};
   std::vector<std::unique_ptr<Worker>> worker_state_;
   std::vector<std::thread> workers_;

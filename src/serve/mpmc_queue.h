@@ -65,8 +65,8 @@ class MpmcQueue {
   bool TryPush(T value) { return TryPushMove(value); }
 
   /// As TryPush, but `value` is consumed ONLY on success — on a full queue
-  /// it is left intact so the caller can retry elsewhere (this is what lets
-  /// RelaxedBlockQueue probe blocks without losing the payload).
+  /// it is left intact so the caller can run it elsewhere (the executor runs
+  /// it inline).
   bool TryPushMove(T& value) {
     Cell* cell;
     size_t pos = tail_.load(std::memory_order_relaxed);

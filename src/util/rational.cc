@@ -99,12 +99,10 @@ Result<Rational> Rational::FromString(std::string_view text) {
   std::string digits(text.substr(0, dot));
   std::string_view frac = text.substr(dot + 1);
   if (frac.empty()) return Status::Invalid("trailing dot: " + std::string(text));
-  bool negative = !digits.empty() && digits[0] == '-';
   digits += std::string(frac);
   PHOM_ASSIGN_OR_RETURN(BigInt num, BigInt::FromString(digits));
   BigInt den(1);
   for (size_t i = 0; i < frac.size(); ++i) den = den * BigInt(10);
-  (void)negative;
   return Rational(std::move(num), std::move(den));
 }
 
